@@ -80,11 +80,43 @@ double autocorrelation(std::span<const double> xs, std::size_t lag) {
 
 std::optional<PeriodEstimate> dominant_period(std::span<const double> xs, std::size_t min_lag,
                                               std::size_t max_lag, double threshold) {
+    // Scores every lag exactly as autocorrelation() does (the oracle): the
+    // mean, the deviations and the denominator are lag-independent, so they
+    // are computed once; each lag's numerator is its own accumulator summed
+    // over i in increasing order, so every score is bit-identical.
+    const std::size_t n = xs.size();
+    if (n == 0 || min_lag > max_lag || min_lag >= n) return std::nullopt;
+    const std::size_t last_lag = std::min(max_lag, n - 1);
+
+    // Lags are evaluated kBlock at a time to reuse each d[i] load; the
+    // zero padding lets a partial last block read past n into lanes whose
+    // scores are never looked at.
+    constexpr std::size_t kBlock = 8;
+    const double m = mean(xs);
+    std::vector<double> d(n + kBlock, 0.0);
+    double den = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        d[i] = xs[i] - m;
+        den += d[i] * d[i];
+    }
+
     std::optional<PeriodEstimate> best;
-    for (std::size_t lag = min_lag; lag <= max_lag && lag < xs.size(); ++lag) {
-        const double score = autocorrelation(xs, lag);
-        if (score >= threshold && (!best || score > best->score)) {
-            best = PeriodEstimate{lag, score};
+    for (std::size_t lag = min_lag; lag <= last_lag; lag += kBlock) {
+        const std::size_t count = std::min(kBlock, last_lag - lag + 1);
+        double num[kBlock] = {};
+        // Below `shared`, every lag of the block still has a partner sample.
+        const std::size_t shared = n - (lag + count - 1);
+        for (std::size_t i = 0; i < shared; ++i) {
+            for (std::size_t k = 0; k < kBlock; ++k) num[k] += d[i] * d[i + lag + k];
+        }
+        for (std::size_t k = 0; k < count; ++k) {
+            for (std::size_t i = shared; i + lag + k < n; ++i) num[k] += d[i] * d[i + lag + k];
+            // autocorrelation() scores lag 0 and a constant series as 0.
+            // tvacr-lint: allow(no-float-equality) den is a sum of squares; 0 iff all terms are 0
+            const double score = (lag + k == 0 || den == 0.0) ? 0.0 : num[k] / den;
+            if (score >= threshold && (!best || score > best->score)) {
+                best = PeriodEstimate{lag + k, score};
+            }
         }
     }
     return best;

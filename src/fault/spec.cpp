@@ -67,7 +67,7 @@ bool parse_window(std::string_view text, TimeWindow& out) {
 
 /// "0;3;7" — semicolon-separated frame indices.
 bool parse_index_list(std::string_view text, std::vector<std::uint64_t>& out) {
-    for (const auto part : split(text, ';')) {
+    for (const auto& part : split(text, ';')) {
         std::uint64_t index = 0;
         if (!parse_u64(trim(part), index)) return false;
         out.push_back(index);
@@ -158,7 +158,7 @@ ParsedFaultSpec parse_fault_spec(std::string_view text) {
     if (trimmed == "canonical") return {canonical_fault_spec(), {}};
 
     FaultSpec spec;
-    for (const auto raw_part : split(trimmed, ',')) {
+    for (const auto& raw_part : split(trimmed, ',')) {
         const std::string part = trim(raw_part);
         if (part.empty()) continue;
         const auto equals = part.find('=');

@@ -95,18 +95,44 @@ double goertzel(std::span<const float> samples, double hz, int sample_rate) {
     return std::max(0.0, power) / std::max<std::size_t>(samples.size(), 1);
 }
 
-AudioWindow analyze_window(std::span<const float> samples) {
-    AudioWindow window;
-    const auto& bands = band_frequencies();
-    double peak = 1e-12;
-    double energies[AudioWindow::kBands];
-    for (int band = 0; band < AudioWindow::kBands; ++band) {
-        energies[band] = goertzel(samples, bands[static_cast<std::size_t>(band)],
-                                  PcmChunk::kSampleRate);
-        peak = std::max(peak, energies[band]);
+std::array<double, AudioWindow::kBands> band_energies(std::span<const float> samples) {
+    // Every band runs exactly goertzel()'s recurrence and final power
+    // expression, only interleaved with the other bands in one pass.
+    constexpr std::size_t kBands = AudioWindow::kBands;
+    static const std::array<double, kBands> coefficients = [] {
+        std::array<double, kBands> out{};
+        for (std::size_t band = 0; band < kBands; ++band) {
+            const double omega = kTwoPi * band_frequencies()[band] / PcmChunk::kSampleRate;
+            out[band] = 2.0 * std::cos(omega);
+        }
+        return out;
+    }();
+    double s_prev[kBands] = {};
+    double s_prev2[kBands] = {};
+    for (const float sample : samples) {
+        for (std::size_t band = 0; band < kBands; ++band) {
+            const double s = sample + coefficients[band] * s_prev[band] - s_prev2[band];
+            s_prev2[band] = s_prev[band];
+            s_prev[band] = s;
+        }
     }
+    std::array<double, kBands> energies{};
+    for (std::size_t band = 0; band < kBands; ++band) {
+        const double power = s_prev[band] * s_prev[band] + s_prev2[band] * s_prev2[band] -
+                             coefficients[band] * s_prev[band] * s_prev2[band];
+        energies[band] = std::max(0.0, power) / std::max<std::size_t>(samples.size(), 1);
+    }
+    return energies;
+}
+
+AudioWindow analyze_window(std::span<const float> samples) {
+    const auto energies = band_energies(samples);
+    double peak = 1e-12;
+    for (const double energy : energies) peak = std::max(peak, energy);
+    AudioWindow window;
     for (int band = 0; band < AudioWindow::kBands; ++band) {
-        window.band_energy[band] = static_cast<float>(energies[band] / peak);
+        window.band_energy[band] =
+            static_cast<float>(energies[static_cast<std::size_t>(band)] / peak);
     }
     return window;
 }

@@ -44,8 +44,14 @@ struct PcmChunk {
 [[nodiscard]] PcmChunk synthesize_audio(const ContentStream& stream, SimTime t,
                                         SimTime duration);
 
-/// Goertzel energy of `samples` at frequency `hz`.
+/// Goertzel energy of `samples` at frequency `hz`. The specification
+/// band_energies() is tested against.
 [[nodiscard]] double goertzel(std::span<const float> samples, double hz, int sample_rate);
+
+/// Goertzel energies of all bands of band_frequencies(), in one pass over
+/// `samples`; each is bit-equal to goertzel() at that band.
+[[nodiscard]] std::array<double, AudioWindow::kBands> band_energies(
+    std::span<const float> samples);
 
 /// Runs the filter bank over one analysis window of PCM.
 [[nodiscard]] AudioWindow analyze_window(std::span<const float> samples);

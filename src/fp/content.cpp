@@ -96,21 +96,25 @@ Frame ContentStream::frame_at(SimTime t) const {
     const std::size_t scene = scene_index_at(t);
     const std::uint64_t scene_seed = splitmix64(seed_ ^ (scene * 0xD1B54A32D192ED03ULL));
 
-    Frame frame = make_frame(width_, height_);
-    for (int y = 0; y < height_; ++y) {
-        for (int x = 0; x < width_; ++x) {
-            // Coarse blocks give the frame spatial structure a perceptual
-            // hash keys on; the fine term adds texture.
-            const std::uint64_t block =
-                splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x / 4) << 16) ^
-                           static_cast<std::uint64_t>(y / 4));
-            const std::uint64_t fine =
-                splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x) << 20) ^
-                           (static_cast<std::uint64_t>(y) << 8) ^ 1);
-            frame.at(x, y) =
-                static_cast<std::uint8_t>(((block & 0xFF) * 3 + (fine & 0xFF)) / 4);
+    if (frame_base_.luma.empty() || frame_scene_ != scene) {
+        frame_base_ = make_frame(width_, height_);
+        for (int y = 0; y < height_; ++y) {
+            for (int x = 0; x < width_; ++x) {
+                // Coarse blocks give the frame spatial structure a perceptual
+                // hash keys on; the fine term adds texture.
+                const std::uint64_t block =
+                    splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x / 4) << 16) ^
+                               static_cast<std::uint64_t>(y / 4));
+                const std::uint64_t fine =
+                    splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x) << 20) ^
+                               (static_cast<std::uint64_t>(y) << 8) ^ 1);
+                frame_base_.at(x, y) =
+                    static_cast<std::uint8_t>(((block & 0xFF) * 3 + (fine & 0xFF)) / 4);
+            }
         }
+        frame_scene_ = scene;
     }
+    Frame frame = frame_base_;
 
     // Motion: within non-static scenes, most frames get a handful of
     // deterministic pixel perturbations, so consecutive hashes differ

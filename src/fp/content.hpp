@@ -82,6 +82,11 @@ class ContentStream {
     mutable Rng schedule_rng_;
     // Onset-aligned audio windows are scene-constant: cache the analysis.
     mutable std::vector<std::pair<std::size_t, AudioWindow>> audio_cache_;
+    // A scene's motion-free frame depends only on (seed, scene): frame_at
+    // memoises the last scene's base frame and applies only the per-frame
+    // motion step to a copy.
+    mutable std::size_t frame_scene_ = 0;
+    mutable Frame frame_base_;
 };
 
 /// Catalog entry for the ACR backend's reference library.

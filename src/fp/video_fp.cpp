@@ -7,20 +7,27 @@
 namespace tvacr::fp {
 
 Frame downsample(const Frame& frame, int gw, int gh) {
+    // Cell (gx, gy) covers [x0, x1) x [y0, y1) in source coordinates with
+    // x0 = edge[gx], x1 = max(edge[gx + 1], x0 + 1): column edges are shared
+    // by every row of cells, so they are divided out once.
     Frame out = make_frame(gw, gh);
+    if (gw == 0) return out;
+    std::vector<int> edge(static_cast<std::size_t>(gw) + 1);
+    for (int gx = 0; gx <= gw; ++gx) edge[static_cast<std::size_t>(gx)] = gx * frame.width / gw;
+    const auto stride = static_cast<std::size_t>(frame.width);
+    std::uint8_t* out_pixel = out.luma.data();
     for (int gy = 0; gy < gh; ++gy) {
-        for (int gx = 0; gx < gw; ++gx) {
-            // Cell [x0,x1) x [y0,y1) in source coordinates.
-            const int x0 = gx * frame.width / gw;
-            const int x1 = std::max((gx + 1) * frame.width / gw, x0 + 1);
-            const int y0 = gy * frame.height / gh;
-            const int y1 = std::max((gy + 1) * frame.height / gh, y0 + 1);
+        const int y0 = gy * frame.height / gh;
+        const int y1 = std::max((gy + 1) * frame.height / gh, y0 + 1);
+        for (std::size_t gx = 0; gx < edge.size() - 1; ++gx) {
+            const int x0 = edge[gx];
+            const int x1 = std::max(edge[gx + 1], x0 + 1);
             int sum = 0;
             for (int y = y0; y < y1; ++y) {
-                for (int x = x0; x < x1; ++x) sum += frame.at(x, y);
+                const std::uint8_t* row = frame.luma.data() + static_cast<std::size_t>(y) * stride;
+                for (int x = x0; x < x1; ++x) sum += row[x];
             }
-            out.at(gx, gy) =
-                static_cast<std::uint8_t>(sum / ((x1 - x0) * (y1 - y0)));
+            *out_pixel++ = static_cast<std::uint8_t>(sum / ((x1 - x0) * (y1 - y0)));
         }
     }
     return out;

@@ -2,8 +2,11 @@
 // filter bank, landmark hashing, and audio-only content identification.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
+#include "common/rng.hpp"
 #include "fp/audio.hpp"
 #include "fp/library.hpp"
 
@@ -95,6 +98,60 @@ TEST(AnalyzeWindowTest, StableWithinScene) {
         for (int band = 0; band < AudioWindow::kBands; ++band) {
             EXPECT_FLOAT_EQ(a.band_energy[band], b.band_energy[band]);
         }
+    }
+}
+
+// The filter bank as one goertzel() call per band, normalised to the
+// strongest band: the specification the one-pass analyze_window() must
+// reproduce bit for bit.
+AudioWindow analyze_window_by_band(std::span<const float> samples) {
+    const auto& bands = band_frequencies();
+    double energies[AudioWindow::kBands];
+    double peak = 1e-12;
+    for (int band = 0; band < AudioWindow::kBands; ++band) {
+        energies[band] =
+            goertzel(samples, bands[static_cast<std::size_t>(band)], PcmChunk::kSampleRate);
+        peak = std::max(peak, energies[band]);
+    }
+    AudioWindow window;
+    for (int band = 0; band < AudioWindow::kBands; ++band) {
+        window.band_energy[band] = static_cast<float>(energies[band] / peak);
+    }
+    return window;
+}
+
+void expect_bit_equal(const AudioWindow& got, const AudioWindow& want) {
+    for (int band = 0; band < AudioWindow::kBands; ++band) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got.band_energy[band]),
+                  std::bit_cast<std::uint32_t>(want.band_energy[band]))
+            << "band " << band;
+    }
+}
+
+TEST(AnalyzeWindowTest, OnePassBankBitEqualsPerBandGoertzelOnRandomPcm) {
+    Rng rng(0x6E27);
+    const auto& bands = band_frequencies();
+    for (const std::size_t length : {0, 1, 2, 7, 1599, 1600, 1601}) {
+        SCOPED_TRACE(length);
+        std::vector<float> pcm(length);
+        for (auto& sample : pcm) sample = static_cast<float>(rng.uniform01() * 2.0 - 1.0);
+        const auto energies = band_energies(pcm);
+        for (std::size_t band = 0; band < bands.size(); ++band) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(energies[band]),
+                      std::bit_cast<std::uint64_t>(
+                          goertzel(pcm, bands[band], PcmChunk::kSampleRate)))
+                << "band " << band;
+        }
+        expect_bit_equal(analyze_window(pcm), analyze_window_by_band(pcm));
+    }
+}
+
+TEST(AnalyzeWindowTest, OnePassBankBitEqualsPerBandGoertzelOnContentAudio) {
+    const auto stream = broadcast_stream(13);
+    for (int second = 0; second < 30; second += 3) {
+        SCOPED_TRACE(second);
+        const auto pcm = synthesize_audio(stream, SimTime::seconds(second), SimTime::millis(100));
+        expect_bit_equal(analyze_window(pcm.samples), analyze_window_by_band(pcm.samples));
     }
 }
 

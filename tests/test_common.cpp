@@ -2,8 +2,10 @@
 // determinism, statistics, strings, and simulated time.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "common/arena.hpp"
 #include "common/bytes.hpp"
@@ -363,6 +365,99 @@ TEST(Stats, DominantPeriodRejectsNoise) {
     std::vector<double> xs;
     for (int i = 0; i < 300; ++i) xs.push_back(rng.uniform01());
     EXPECT_FALSE(dominant_period(xs, 2, 50, 0.6).has_value());
+}
+
+// The argmax over autocorrelation(): the specification dominant_period()
+// must reproduce with the same lag and a bit-identical score.
+std::optional<PeriodEstimate> dominant_period_by_lag(std::span<const double> xs,
+                                                     std::size_t min_lag, std::size_t max_lag,
+                                                     double threshold) {
+    std::optional<PeriodEstimate> best;
+    for (std::size_t lag = min_lag; lag <= max_lag && lag < xs.size(); ++lag) {
+        const double score = autocorrelation(xs, lag);
+        if (score >= threshold && (!best || score > best->score)) {
+            best = PeriodEstimate{lag, score};
+        }
+    }
+    return best;
+}
+
+void expect_same_period(std::span<const double> xs, std::size_t min_lag, std::size_t max_lag,
+                        double threshold) {
+    SCOPED_TRACE(::testing::Message() << "n=" << xs.size() << " lags=[" << min_lag << ", "
+                                      << max_lag << "] threshold=" << threshold);
+    const auto got = dominant_period(xs, min_lag, max_lag, threshold);
+    const auto want = dominant_period_by_lag(xs, min_lag, max_lag, threshold);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (!want) return;
+    EXPECT_EQ(got->lag_samples, want->lag_samples);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got->score), std::bit_cast<std::uint64_t>(want->score));
+}
+
+TEST(Stats, DominantPeriodMatchesAutocorrelationArgmax) {
+    Rng rng(0xD0D0);
+    constexpr std::size_t kNoLimit = std::numeric_limits<std::size_t>::max();
+    for (const std::size_t n : {1, 2, 9, 17, 64, 301, 1000}) {
+        // Bursts every `period` samples over uniform noise.
+        const auto period = static_cast<std::size_t>(rng.uniform(2, 40));
+        std::vector<double> xs(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            xs[i] = (i % period == 0 ? 5.0 : 0.0) + rng.uniform01();
+        }
+        for (const double threshold : {-1.0, 0.0, 0.25, 0.9}) {
+            expect_same_period(xs, 0, n + 5, threshold);  // min_lag 0, max_lag beyond n
+            expect_same_period(xs, 1, kNoLimit, threshold);
+            expect_same_period(xs, 1, n / 2, threshold);
+            expect_same_period(xs, 3, 3 + 12, threshold);  // 13 lags: a partial last block
+            expect_same_period(xs, 5, 5 + 7, threshold);   // exactly one block
+        }
+    }
+}
+
+TEST(Stats, DominantPeriodMatchesOracleOnDegenerateSeries) {
+    // A constant series has den == 0, so every lag scores exactly 0 and the
+    // first lag in range wins the tie when the threshold admits 0.
+    const std::vector<double> constant(50, 3.0);
+    for (const double threshold : {-0.5, 0.0, 0.1}) {
+        expect_same_period(constant, 0, 49, threshold);
+        expect_same_period(constant, 5, 30, threshold);
+    }
+    const auto first = dominant_period(constant, 5, 30, 0.0);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->lag_samples, 5U);
+
+    const std::vector<double> empty;
+    expect_same_period(empty, 0, 10, -1.0);
+    EXPECT_FALSE(dominant_period(empty, 0, 10, -1.0).has_value());
+    const std::vector<double> ramp = {1, 2, 3, 4, 5, 6};
+    expect_same_period(ramp, 4, 2, -1.0);  // min_lag > max_lag
+    expect_same_period(ramp, 6, 9, -1.0);  // min_lag >= n
+    expect_same_period(ramp, 0, 0, 0.0);   // lag 0 scores 0
+}
+
+TEST(Stats, DominantPeriodMatchesOracleOnTiedSmallIntegerSeries) {
+    // Small-integer series make equal scores common; the first lag reaching
+    // the best score must win in both implementations.
+    Rng rng(0x7135);
+    int ties = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+        std::vector<double> xs(static_cast<std::size_t>(rng.uniform(0, 24)));
+        for (auto& x : xs) x = static_cast<double>(rng.uniform(0, 2));
+        const auto min_lag = static_cast<std::size_t>(rng.uniform(0, 5));
+        const auto max_lag = static_cast<std::size_t>(rng.uniform(0, 30));
+        const double threshold = trial % 3 == 0 ? -1.0 : (trial % 3 == 1 ? 0.0 : 0.1);
+        expect_same_period(xs, min_lag, max_lag, threshold);
+        const auto best = dominant_period_by_lag(xs, min_lag, max_lag, threshold);
+        if (!best) continue;
+        for (std::size_t lag = best->lag_samples + 1; lag <= max_lag && lag < xs.size(); ++lag) {
+            if (std::bit_cast<std::uint64_t>(autocorrelation(xs, lag)) ==
+                std::bit_cast<std::uint64_t>(best->score)) {
+                ++ties;
+                break;
+            }
+        }
+    }
+    EXPECT_GT(ties, 0);  // the ties the test is about did occur
 }
 
 TEST(Stats, EmpiricalCdfIsMonotonic) {

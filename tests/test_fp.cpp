@@ -63,6 +63,37 @@ TEST(ContentStreamTest, AudioIsDeterministicPerScene) {
     }
 }
 
+TEST(ContentStreamTest, FrameMemoMatchesFreshStreamInAnyQueryOrder) {
+    // frame_at() memoises the last scene's base frame; a stale memo hit
+    // across scenes would show up as a frame differing from a stream that
+    // has never been queried before.
+    for (const ContentKind kind :
+         {ContentKind::kLiveBroadcast, ContentKind::kHdmiDesktop, ContentKind::kHomeScreen}) {
+        SCOPED_TRACE(to_string(kind));
+        const auto dynamics = ContentDynamics::for_kind(kind);
+        std::vector<SimTime> times;
+        for (std::int64_t ms = 0; ms < 90'000; ms += 730) {
+            times.push_back(SimTime::millis(ms));
+            times.push_back(SimTime::millis(ms + 10));  // same scene, next frame
+        }
+        std::vector<SimTime> backward(times.rbegin(), times.rend());
+        std::vector<SimTime> shuffled = times;
+        Rng rng(0x5F1E);
+        for (std::size_t i = shuffled.size(); i > 1; --i) {
+            const auto j = rng.uniform(0, static_cast<std::int64_t>(i) - 1);
+            std::swap(shuffled[i - 1], shuffled[static_cast<std::size_t>(j)]);
+        }
+        for (const auto* order : {&backward, &shuffled}) {
+            const ContentStream memoised(23, dynamics);
+            for (const SimTime t : *order) {
+                const ContentStream fresh(23, dynamics);
+                ASSERT_EQ(memoised.frame_at(t).luma, fresh.frame_at(t).luma)
+                    << "t=" << t.as_millis() << "ms";
+            }
+        }
+    }
+}
+
 TEST(ContentDynamicsTest, KindsDifferInTheRightDirection) {
     const auto live = ContentDynamics::for_kind(ContentKind::kLiveBroadcast);
     const auto hdmi = ContentDynamics::for_kind(ContentKind::kHdmiDesktop);
@@ -125,6 +156,44 @@ TEST(VideoHashTest, DownsamplePreservesDimensionsAndRange) {
     EXPECT_EQ(grid.width, 9);
     EXPECT_EQ(grid.height, 8);
     EXPECT_EQ(grid.luma.size(), 72U);
+}
+
+// Mean pooling with each cell's bounds and sum computed per cell: the
+// specification downsample() must reproduce.
+Frame downsample_by_cell(const Frame& frame, int gw, int gh) {
+    Frame out = make_frame(gw, gh);
+    for (int gy = 0; gy < gh; ++gy) {
+        for (int gx = 0; gx < gw; ++gx) {
+            const int x0 = gx * frame.width / gw;
+            const int x1 = std::max((gx + 1) * frame.width / gw, x0 + 1);
+            const int y0 = gy * frame.height / gh;
+            const int y1 = std::max((gy + 1) * frame.height / gh, y0 + 1);
+            int sum = 0;
+            for (int y = y0; y < y1; ++y) {
+                for (int x = x0; x < x1; ++x) sum += frame.at(x, y);
+            }
+            out.at(gx, gy) = static_cast<std::uint8_t>(sum / ((x1 - x0) * (y1 - y0)));
+        }
+    }
+    return out;
+}
+
+TEST(VideoHashTest, DownsampleMatchesPerCellPoolingOnUnevenGeometries) {
+    struct Geometry {
+        int width, height, gw, gh;
+    };
+    Rng rng(0xD5);
+    for (const Geometry g : {Geometry{37, 17, 9, 8}, Geometry{5, 3, 9, 8}, Geometry{36, 16, 9, 8},
+                             Geometry{36, 16, 8, 8}, Geometry{1, 1, 9, 8}, Geometry{64, 2, 8, 8}}) {
+        SCOPED_TRACE(::testing::Message() << g.width << "x" << g.height << "->" << g.gw << "x"
+                                          << g.gh);
+        Frame frame = make_frame(g.width, g.height);
+        for (auto& pixel : frame.luma) pixel = static_cast<std::uint8_t>(rng.uniform(0, 255));
+        const Frame got = downsample(frame, g.gw, g.gh);
+        EXPECT_EQ(got.width, g.gw);
+        EXPECT_EQ(got.height, g.gh);
+        EXPECT_EQ(got.luma, downsample_by_cell(frame, g.gw, g.gh).luma);
+    }
 }
 
 TEST(AudioHashTest, DeterministicAndBandSensitive) {

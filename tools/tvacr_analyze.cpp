@@ -66,17 +66,19 @@ CaptureFormat sniff_format(const char* path) {
     return CaptureFormat::kPcap;
 }
 
+int usage(const char* argv0) {
+    std::fprintf(stderr,
+                 "usage: %s <capture.{pcap,pcapng,tvcr}> <device-ip> [--minutes N] [--jobs N]\n"
+                 "          [--format pcap|pcapng|tvcr] [--resume-from BLOCK]\n"
+                 "          [--since SECONDS] [--report out.txt]\n",
+                 argv0);
+    return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 3) {
-        std::fprintf(stderr,
-                     "usage: %s <capture.{pcap,pcapng,tvcr}> <device-ip> [--minutes N] [--jobs N]\n"
-                     "          [--format pcap|pcapng|tvcr] [--resume-from BLOCK]\n"
-                     "          [--since SECONDS] [--report out.txt]\n",
-                     argv[0]);
-        return 2;
-    }
+    if (argc < 3) return usage(argv[0]);
     const auto device_ip = net::Ipv4Address::parse(argv[2]);
     if (!device_ip.ok()) {
         std::fprintf(stderr, "bad device ip: %s\n", argv[2]);
@@ -89,7 +91,11 @@ int main(int argc, char** argv) {
     bool has_resume = false;
     std::optional<SimTime> since;
     std::string report_path;
-    for (int i = 3; i + 1 < argc; ++i) {
+    for (int i = 3; i < argc; i += 2) {
+        if (i + 1 >= argc) {
+            std::fprintf(stderr, "missing value for %s\n", argv[i]);
+            return usage(argv[0]);
+        }
         if (std::strcmp(argv[i], "--minutes") == 0) {
             capture_length =
                 SimTime::minutes(common::parse_flag_int("--minutes", argv[i + 1], 1, 1 << 24));
@@ -112,6 +118,9 @@ int main(int argc, char** argv) {
             since = SimTime::seconds(common::parse_flag_int("--since", argv[i + 1], 0, 1LL << 40));
         } else if (std::strcmp(argv[i], "--report") == 0) {
             report_path = argv[i + 1];
+        } else {
+            std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+            return usage(argv[0]);
         }
     }
     if (format == CaptureFormat::kAuto) format = sniff_format(argv[1]);

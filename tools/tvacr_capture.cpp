@@ -58,8 +58,12 @@ int main(int argc, char** argv) {
     enum class OutFormat { kPcap, kPcapng, kTvcr, kTvcrFrames };
     OutFormat out_format = OutFormat::kPcap;
 
-    for (int i = 1; i + 1 < argc; i += 2) {
+    for (int i = 1; i < argc; i += 2) {
         const std::string key = argv[i];
+        if (i + 1 >= argc) {
+            std::fprintf(stderr, "missing value for %s\n", key.c_str());
+            return usage(argv[0]);
+        }
         const std::string value = argv[i + 1];
         if (key == "--brand") {
             if (value == "samsung") {
@@ -115,6 +119,7 @@ int main(int argc, char** argv) {
             }
             spec.faults = *parsed.spec;
         } else {
+            std::fprintf(stderr, "unknown flag: %s\n", key.c_str());
             return usage(argv[0]);
         }
     }
