@@ -36,7 +36,7 @@ void BM_Dhash(benchmark::State& state) {
 BENCHMARK(BM_Dhash);
 
 void BM_CaptureStep(benchmark::State& state) {
-    // Full client capture cost: synthesize + dhash + detail.
+    // Capture cost from a built frame: synthesize + dhash + detail.
     const fp::ContentStream stream(1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
     std::int64_t t = 0;
     for (auto _ : state) {
@@ -47,6 +47,18 @@ void BM_CaptureStep(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_CaptureStep);
+
+void BM_CaptureStepIncremental(benchmark::State& state) {
+    // The client's capture cost: the same fingerprint from the scene memo.
+    const fp::ContentStream stream(
+        1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
+    std::int64_t t = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(stream.fingerprint_at(SimTime::millis(t)));
+        t += 10;
+    }
+}
+BENCHMARK(BM_CaptureStepIncremental);
 
 fp::FingerprintBatch bench_batch(int records) {
     fp::FingerprintBatch batch;

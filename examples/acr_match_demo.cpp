@@ -56,11 +56,11 @@ int main() {
                 stream = std::make_unique<fp::ContentStream>(playing.content->seed,
                                                              playing.content->dynamics);
             }
-            const fp::Frame frame = stream->frame_at(playing.offset);
+            const fp::CaptureFingerprint fingerprint = stream->fingerprint_at(playing.offset);
             fp::CaptureRecord record;
             record.offset_ms = static_cast<std::uint32_t>(500 * i);
-            record.video = fp::dhash(frame);
-            record.detail = fp::frame_detail(frame);
+            record.video = fingerprint.video;
+            record.detail = fingerprint.detail;
             batch.records.push_back(record);
         }
         ++uploads;

@@ -37,13 +37,26 @@ PcmChunk synthesize_audio(const ContentStream& stream, SimTime t, SimTime durati
                                                 1'000'000);
     pcm.samples.resize(count);
 
+    // The chord and each partial's recurrence coefficient change only with
+    // the scene; the phase restarts from sin() at every burst.
+    std::size_t scene = 0;
+    std::array<double, 4> partials{};
+    double omega[4] = {};
+    double coeff[4] = {};
     std::size_t i = 0;
     while (i < count) {
         // Generate run of samples within the current scene.
         const SimTime now =
             t + SimTime::micros(static_cast<std::int64_t>(i) * 1'000'000 / PcmChunk::kSampleRate);
-        const std::size_t scene = stream.scene_index_at(now);
-        const auto partials = scene_partials(stream.seed(), scene);
+        const std::size_t now_scene = stream.scene_index_at(now);
+        if (i == 0 || now_scene != scene) {
+            scene = now_scene;
+            partials = scene_partials(stream.seed(), scene);
+            for (std::size_t p = 0; p < partials.size(); ++p) {
+                omega[p] = kTwoPi * partials[p] / PcmChunk::kSampleRate;
+                coeff[p] = 2.0 * std::cos(omega[p]);
+            }
+        }
 
         // How many samples until the scene could change: re-check every 10 ms.
         const std::size_t burst =
@@ -55,14 +68,11 @@ PcmChunk synthesize_audio(const ContentStream& stream, SimTime t, SimTime durati
         // reference second, so it is a hot path).
         const double t0_s =
             (t.as_micros() / 1e6) + static_cast<double>(i) / PcmChunk::kSampleRate;
-        double coeff[4];
         double s1[4];  // s[n-1]
         double s2[4];  // s[n-2]
         for (std::size_t p = 0; p < partials.size(); ++p) {
-            const double omega = kTwoPi * partials[p] / PcmChunk::kSampleRate;
-            coeff[p] = 2.0 * std::cos(omega);
-            s1[p] = std::sin(kTwoPi * partials[p] * t0_s - omega);       // s[-1]
-            s2[p] = std::sin(kTwoPi * partials[p] * t0_s - 2.0 * omega); // s[-2]
+            s1[p] = std::sin(kTwoPi * partials[p] * t0_s - omega[p]);        // s[-1]
+            s2[p] = std::sin(kTwoPi * partials[p] * t0_s - 2.0 * omega[p]);  // s[-2]
         }
         for (std::size_t k = 0; k < burst; ++k, ++i) {
             double sample = 0.0;

@@ -68,7 +68,18 @@ ContentStream::ContentStream(std::uint64_t seed, ContentDynamics dynamics, int w
       dynamics_(dynamics),
       width_(width),
       height_(height),
-      schedule_rng_(derive_seed(seed, /*label=*/0x5CEDu)) {}
+      schedule_rng_(derive_seed(seed, /*label=*/0x5CEDu)) {
+    for (int gx = 0; gx < kGridWidth; ++gx) {
+        const auto i = static_cast<std::size_t>(gx);
+        cell_x0_[i] = gx * width_ / kGridWidth;
+        cell_x1_[i] = std::max((gx + 1) * width_ / kGridWidth, cell_x0_[i] + 1);
+    }
+    for (int gy = 0; gy < kGridHeight; ++gy) {
+        const auto i = static_cast<std::size_t>(gy);
+        cell_y0_[i] = gy * height_ / kGridHeight;
+        cell_y1_[i] = std::max((gy + 1) * height_ / kGridHeight, cell_y0_[i] + 1);
+    }
+}
 
 void ContentStream::ensure_schedule(SimTime t) const {
     while (scene_ends_.empty() || scene_ends_.back() <= t) {
@@ -92,28 +103,168 @@ bool ContentStream::scene_is_static(std::size_t scene_index) const {
     return (static_cast<double>(h >> 11) * 0x1.0p-53) < dynamics_.static_scene_fraction;
 }
 
+namespace {
+
+// frame_detail's FNV-1a.
+constexpr std::uint32_t kFnvOffset = 2166136261U;
+constexpr std::uint32_t kFnvPrime = 16777619U;
+
+std::uint32_t fnv1a(std::uint32_t h, const std::uint8_t* bytes, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+        h ^= bytes[i];
+        h *= kFnvPrime;
+    }
+    return h;
+}
+
+std::uint16_t fold_detail(std::uint32_t h) { return static_cast<std::uint16_t>(h ^ (h >> 16)); }
+
+/// dhash's 8 bits of one grid row: bit x is set when cell x is darker than
+/// cell x + 1.
+std::uint64_t row_bits(const std::uint8_t* row) {
+    std::uint64_t bits = 0;
+    for (int x = 0; x < 8; ++x) bits |= static_cast<std::uint64_t>(row[x] < row[x + 1]) << x;
+    return bits;
+}
+
+}  // namespace
+
+void ContentStream::ensure_scene(std::size_t scene, std::uint64_t scene_seed) const {
+    if (!frame_base_.luma.empty() && frame_scene_ == scene) return;
+    frame_base_ = make_frame(width_, height_);
+    for (int y = 0; y < height_; ++y) {
+        for (int x = 0; x < width_; ++x) {
+            // Coarse blocks give the frame spatial structure a perceptual
+            // hash keys on; the fine term adds texture.
+            const std::uint64_t block =
+                splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x / 4) << 16) ^
+                           static_cast<std::uint64_t>(y / 4));
+            const std::uint64_t fine =
+                splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x) << 20) ^
+                           (static_cast<std::uint64_t>(y) << 8) ^ 1);
+            frame_base_.at(x, y) =
+                static_cast<std::uint8_t>(((block & 0xFF) * 3 + (fine & 0xFF)) / 4);
+        }
+    }
+    base_hash_ = 0;
+    for (std::size_t gy = 0; gy < kGridHeight; ++gy) {
+        for (std::size_t gx = 0; gx < kGridWidth; ++gx) {
+            int sum = 0;
+            for (int y = cell_y0_[gy]; y < cell_y1_[gy]; ++y) {
+                for (int x = cell_x0_[gx]; x < cell_x1_[gx]; ++x) sum += frame_base_.at(x, y);
+            }
+            const std::size_t cell = gy * kGridWidth + gx;
+            cell_sum_[cell] = sum;
+            cell_value_[cell] = static_cast<std::uint8_t>(
+                sum / ((cell_x1_[gx] - cell_x0_[gx]) * (cell_y1_[gy] - cell_y0_[gy])));
+        }
+        base_hash_ |= row_bits(&cell_value_[gy * kGridWidth]) << (8 * gy);
+    }
+    fnv_prefix_.clear();
+    frame_scene_ = scene;
+}
+
+ContentStream::MotionEdits ContentStream::motion_edits(SimTime t) const {
+    // Replays frame_at's motion step, merging two perturbations of one pixel.
+    const std::size_t scene = scene_index_at(t);
+    const std::uint64_t scene_seed = splitmix64(seed_ ^ (scene * 0xD1B54A32D192ED03ULL));
+    ensure_scene(scene, scene_seed);
+    MotionEdits edits;
+    if (scene_is_static(scene)) return edits;
+    const std::uint64_t frame_index = static_cast<std::uint64_t>(t.as_millis() / 10);
+    const std::uint64_t motion_seed = splitmix64(scene_seed ^ frame_index ^ 0x4070104Eu);
+    const double gate = static_cast<double>(splitmix64(motion_seed) >> 11) * 0x1.0p-53;
+    if (gate >= dynamics_.motion_rate) return edits;
+    std::uint64_t h = motion_seed;
+    for (int k = 0; k < 2; ++k) {
+        h = splitmix64(h);
+        const auto x = static_cast<std::size_t>(h % static_cast<std::uint64_t>(width_));
+        const auto y = static_cast<std::size_t>((h >> 16) % static_cast<std::uint64_t>(height_));
+        const std::size_t pixel = y * static_cast<std::size_t>(width_) + x;
+        if (edits.count == 1 && edits.pixel[0] == pixel) {
+            edits.value[0] = static_cast<std::uint8_t>(edits.value[0] + 25);
+            continue;
+        }
+        edits.pixel[edits.count] = pixel;
+        edits.value[edits.count] = static_cast<std::uint8_t>(frame_base_.luma[pixel] + 25);
+        ++edits.count;
+    }
+    if (edits.count == 2 && edits.pixel[1] < edits.pixel[0]) {
+        std::swap(edits.pixel[0], edits.pixel[1]);
+        std::swap(edits.value[0], edits.value[1]);
+    }
+    return edits;
+}
+
+VideoHash ContentStream::edited_hash(const MotionEdits& edits) const {
+    // Only the cells covering an edited pixel change. Each is recomputed
+    // once, from its base sum and the deltas of every edit inside it.
+    int x[2] = {};
+    int y[2] = {};
+    int delta[2] = {};
+    for (int k = 0; k < edits.count; ++k) {
+        x[k] = static_cast<int>(edits.pixel[k] % static_cast<std::size_t>(width_));
+        y[k] = static_cast<int>(edits.pixel[k] / static_cast<std::size_t>(width_));
+        delta[k] = edits.value[k] - frame_base_.luma[edits.pixel[k]];
+    }
+    const auto covers = [&](int k, std::size_t gx, std::size_t gy) {
+        return x[k] >= cell_x0_[gx] && x[k] < cell_x1_[gx] && y[k] >= cell_y0_[gy] &&
+               y[k] < cell_y1_[gy];
+    };
+    std::array<std::uint8_t, kCells> value = cell_value_;
+    unsigned changed_rows = 0;
+    for (int k = 0; k < edits.count; ++k) {
+        for (std::size_t gy = 0; gy < kGridHeight; ++gy) {
+            if (y[k] < cell_y0_[gy] || y[k] >= cell_y1_[gy]) continue;
+            for (std::size_t gx = 0; gx < kGridWidth; ++gx) {
+                if (x[k] < cell_x0_[gx] || x[k] >= cell_x1_[gx]) continue;
+                if (k == 1 && covers(0, gx, gy)) continue;  // updated with edit 0
+                const std::size_t cell = gy * kGridWidth + gx;
+                int sum = cell_sum_[cell] + delta[k];
+                if (k == 0 && edits.count == 2 && covers(1, gx, gy)) sum += delta[1];
+                value[cell] = static_cast<std::uint8_t>(
+                    sum / ((cell_x1_[gx] - cell_x0_[gx]) * (cell_y1_[gy] - cell_y0_[gy])));
+                changed_rows |= 1U << gy;
+            }
+        }
+    }
+    VideoHash hash = base_hash_;
+    for (std::size_t gy = 0; gy < kGridHeight; ++gy) {
+        if (((changed_rows >> gy) & 1U) == 0) continue;
+        hash = (hash & ~(VideoHash{0xFF} << (8 * gy))) |
+               (row_bits(&value[gy * kGridWidth]) << (8 * gy));
+    }
+    return hash;
+}
+
+std::uint16_t ContentStream::edited_detail(const MotionEdits& edits) const {
+    const std::uint8_t* base = frame_base_.luma.data();
+    const std::size_t size = frame_base_.luma.size();
+    if (fnv_prefix_.empty()) {
+        fnv_prefix_.resize(size + 1);
+        fnv_prefix_[0] = kFnvOffset;
+        for (std::size_t i = 0; i < size; ++i) {
+            fnv_prefix_[i + 1] = fnv1a(fnv_prefix_[i], base + i, 1);
+        }
+    }
+    if (edits.count == 0) return fold_detail(fnv_prefix_[size]);
+    // FNV-1a folds one byte at a time through a multiply, so no state after
+    // an edited pixel can be reused: resume at the first edit and fold the
+    // rest of the plane.
+    std::size_t at = edits.pixel[0];
+    std::uint32_t h = fnv_prefix_[at];
+    for (int k = 0; k < edits.count; ++k) {
+        h = fnv1a(h, base + at, edits.pixel[k] - at);
+        h = fnv1a(h, &edits.value[k], 1);
+        at = edits.pixel[k] + 1;
+    }
+    return fold_detail(fnv1a(h, base + at, size - at));
+}
+
 Frame ContentStream::frame_at(SimTime t) const {
     const std::size_t scene = scene_index_at(t);
     const std::uint64_t scene_seed = splitmix64(seed_ ^ (scene * 0xD1B54A32D192ED03ULL));
-
-    if (frame_base_.luma.empty() || frame_scene_ != scene) {
-        frame_base_ = make_frame(width_, height_);
-        for (int y = 0; y < height_; ++y) {
-            for (int x = 0; x < width_; ++x) {
-                // Coarse blocks give the frame spatial structure a perceptual
-                // hash keys on; the fine term adds texture.
-                const std::uint64_t block =
-                    splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x / 4) << 16) ^
-                               static_cast<std::uint64_t>(y / 4));
-                const std::uint64_t fine =
-                    splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x) << 20) ^
-                               (static_cast<std::uint64_t>(y) << 8) ^ 1);
-                frame_base_.at(x, y) =
-                    static_cast<std::uint8_t>(((block & 0xFF) * 3 + (fine & 0xFF)) / 4);
-            }
-        }
-        frame_scene_ = scene;
-    }
+    ensure_scene(scene, scene_seed);
     Frame frame = frame_base_;
 
     // Motion: within non-static scenes, most frames get a handful of
@@ -139,6 +290,15 @@ Frame ContentStream::frame_at(SimTime t) const {
         }
     }
     return frame;
+}
+
+CaptureFingerprint ContentStream::fingerprint_at(SimTime t) const {
+    const MotionEdits edits = motion_edits(t);
+    return {edited_hash(edits), edited_detail(edits)};
+}
+
+VideoHash ContentStream::video_hash_at(SimTime t) const {
+    return edited_hash(motion_edits(t));
 }
 
 SimTime ContentStream::scene_start(std::size_t scene_index) const {

@@ -12,7 +12,7 @@ void ContentLibrary::add(const ContentInfo& info) {
     entry.hashes.reserve(static_cast<std::size_t>(steps));
     entry.audio.reserve(static_cast<std::size_t>(steps));
     for (std::int64_t step = 0; step < steps; ++step) {
-        entry.hashes.push_back(dhash(stream.frame_at(kReferencePeriod * step)));
+        entry.hashes.push_back(stream.video_hash_at(kReferencePeriod * step));
         entry.audio.push_back(audio_hash(stream.audio_at(kReferencePeriod * step)));
     }
     entries_[info.id] = std::move(entry);

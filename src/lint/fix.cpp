@@ -75,15 +75,17 @@ bool fix_float_spelling(std::string& source) {
         const bool hex = token.text.size() > 1 && token.text[0] == '0' &&
                          (token.text[1] == 'x' || token.text[1] == 'X');
         if (hex) continue;  // hex floats have their own grammar; leave them
-        std::string fixed = token.text;
-        const std::size_t dot = fixed.find('.');
+        const std::size_t dot = token.text.find('.');
         if (dot == std::string::npos) continue;  // exponent-only (1e9): fine as-is
         const bool digit_before =
-            dot > 0 && std::isdigit(static_cast<unsigned char>(fixed[dot - 1])) != 0;
-        const bool digit_after = dot + 1 < fixed.size() &&
-                                 std::isdigit(static_cast<unsigned char>(fixed[dot + 1])) != 0;
-        if (!digit_after) fixed.insert(dot + 1, "0");
-        if (!digit_before) fixed.insert(dot, "0");
+            dot > 0 && std::isdigit(static_cast<unsigned char>(token.text[dot - 1])) != 0;
+        const bool digit_after = dot + 1 < token.text.size() &&
+                                 std::isdigit(static_cast<unsigned char>(token.text[dot + 1])) != 0;
+        std::string fixed = token.text.substr(0, dot);
+        if (!digit_before) fixed += '0';
+        fixed += '.';
+        if (!digit_after) fixed += '0';
+        fixed.append(token.text, dot + 1);
         if (fixed == token.text) continue;
         if (token.line == 0 || token.line > line_starts.size()) continue;
         const std::size_t offset = line_starts[token.line - 1] + token.column - 1;

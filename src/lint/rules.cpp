@@ -450,9 +450,11 @@ class FloatLiteralSpellingRule final : public Rule {
                 dot + 1 < token.text.size() &&
                 std::isdigit(static_cast<unsigned char>(token.text[dot + 1])) != 0;
             if (digit_before && digit_after) continue;
-            std::string fixed = token.text;
-            if (!digit_after) fixed.insert(dot + 1, "0");
-            if (!digit_before) fixed.insert(dot, "0");
+            std::string fixed = token.text.substr(0, dot);
+            if (!digit_before) fixed += '0';
+            fixed += '.';
+            if (!digit_after) fixed += '0';
+            fixed.append(token.text, dot + 1);
             report(file, token.line,
                    "float literal '" + token.text + "' should be spelled '" + fixed + "'", out);
         }

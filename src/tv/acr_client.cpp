@@ -191,10 +191,13 @@ void AcrClient::schedule_capture(Channel& channel) {
                     fp::CaptureRecord record;
                     record.offset_ms = static_cast<std::uint32_t>(
                         (wiring_.simulator.now() - batch_start_).as_millis());
-                    record.video = fp::dhash(sample->frame);
-                    record.detail = fp::frame_detail(sample->frame);
-                    record.audio =
-                        schedule_.has_audio ? fp::audio_hash(sample->audio) : 0;
+                    const fp::CaptureFingerprint fingerprint =
+                        sample->stream->fingerprint_at(sample->offset);
+                    record.video = fingerprint.video;
+                    record.detail = fingerprint.detail;
+                    record.audio = schedule_.has_audio
+                                       ? fp::audio_hash(sample->stream->audio_at(sample->offset))
+                                       : 0;
                     pending_records_.push_back(record);
                     ++captures_taken_;
                     m_captures_.add();

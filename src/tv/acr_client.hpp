@@ -26,10 +26,12 @@
 
 namespace tvacr::tv {
 
-/// What the ACR client sees when it grabs the panel output.
+/// What the ACR client sees when it grabs the panel output: a view of the
+/// stream on screen, `offset` into it. The client fingerprints the view
+/// itself, so only what its schedule uploads is ever computed.
 struct ScreenSample {
-    fp::Frame frame;
-    fp::AudioWindow audio;
+    const fp::ContentStream* stream = nullptr;  // owned by the SmartTv
+    SimTime offset;
 };
 
 class AcrClient {

@@ -187,7 +187,7 @@ std::optional<ScreenSample> SmartTv::screen_at(SimTime t) const {
     if (!powered_) return std::nullopt;
     const auto sample_from = [&](const fp::ContentStream& stream,
                                  SimTime offset) -> ScreenSample {
-        return ScreenSample{stream.frame_at(offset), stream.audio_at(offset)};
+        return ScreenSample{&stream, offset};
     };
     switch (scenario_) {
         case Scenario::kIdle:

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "fp/audio.hpp"
@@ -38,6 +40,78 @@ TEST(AudioSynthesisTest, BoundedAmplitude) {
     const auto pcm = synthesize_audio(broadcast_stream(5), SimTime{}, SimTime::seconds(1));
     for (const float sample : pcm.samples) {
         EXPECT_LE(std::abs(sample), 1.0F);
+    }
+}
+
+// Synthesis with the chord and the recurrence coefficients recomputed for
+// every 10 ms burst: the specification synthesize_audio() must reproduce bit
+// for bit.
+PcmChunk synthesize_audio_by_burst(const ContentStream& stream, SimTime t, SimTime duration) {
+    constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
+    PcmChunk pcm;
+    const auto count = static_cast<std::size_t>(duration.as_micros() * PcmChunk::kSampleRate /
+                                                1'000'000);
+    pcm.samples.resize(count);
+    std::size_t i = 0;
+    while (i < count) {
+        const SimTime now =
+            t + SimTime::micros(static_cast<std::int64_t>(i) * 1'000'000 / PcmChunk::kSampleRate);
+        const std::size_t scene = stream.scene_index_at(now);
+        const std::uint64_t scene_seed =
+            splitmix64(stream.seed() ^ (scene * 0x9E3779B97F4A7C15ULL) ^ 0xA0D);
+        std::array<double, 4> partials{};
+        for (std::size_t p = 0; p < partials.size(); ++p) {
+            const double unit = static_cast<double>(splitmix64(scene_seed ^ p) >> 11) * 0x1.0p-53;
+            partials[p] = 150.0 * std::pow(4000.0 / 150.0, unit);
+        }
+        const std::size_t burst = std::min<std::size_t>(count - i, PcmChunk::kSampleRate / 100);
+        const double t0_s =
+            (t.as_micros() / 1e6) + static_cast<double>(i) / PcmChunk::kSampleRate;
+        double coeff[4];
+        double s1[4];
+        double s2[4];
+        for (std::size_t p = 0; p < partials.size(); ++p) {
+            const double omega = kTwoPi * partials[p] / PcmChunk::kSampleRate;
+            coeff[p] = 2.0 * std::cos(omega);
+            s1[p] = std::sin(kTwoPi * partials[p] * t0_s - omega);
+            s2[p] = std::sin(kTwoPi * partials[p] * t0_s - 2.0 * omega);
+        }
+        for (std::size_t k = 0; k < burst; ++k, ++i) {
+            double sample = 0.0;
+            double amplitude = 0.5;
+            for (std::size_t p = 0; p < partials.size(); ++p) {
+                const double value = coeff[p] * s1[p] - s2[p];
+                s2[p] = s1[p];
+                s1[p] = value;
+                sample += amplitude * value;
+                amplitude *= 0.6;
+            }
+            pcm.samples[i] = static_cast<float>(sample * 0.4);
+        }
+    }
+    return pcm;
+}
+
+TEST(AudioSynthesisTest, SceneHoistBitEqualsPerBurstSynthesis) {
+    // Starts inside a burst, spans scene changes, and ends on a partial
+    // burst; advertisements change scene every 1.8 s on average.
+    for (const ContentKind kind : {ContentKind::kAdvertisement, ContentKind::kHomeScreen}) {
+        const ContentStream stream(19, ContentDynamics::for_kind(kind));
+        for (const auto& [from_us, length_us] :
+             {std::pair<std::int64_t, std::int64_t>{0, 0}, {0, 100'000}, {3'333, 10'001'000},
+              {47'000'000, 25'550'000}, {600'000'017, 100'000}}) {
+            SCOPED_TRACE(::testing::Message() << to_string(kind) << " from " << from_us << "us");
+            const PcmChunk got =
+                synthesize_audio(stream, SimTime::micros(from_us), SimTime::micros(length_us));
+            const PcmChunk want = synthesize_audio_by_burst(stream, SimTime::micros(from_us),
+                                                            SimTime::micros(length_us));
+            ASSERT_EQ(got.samples.size(), want.samples.size());
+            for (std::size_t i = 0; i < got.samples.size(); ++i) {
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(got.samples[i]),
+                          std::bit_cast<std::uint32_t>(want.samples[i]))
+                    << "sample " << i;
+            }
+        }
     }
 }
 

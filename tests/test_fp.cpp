@@ -2,8 +2,13 @@
 // hashing, batch encoding, the match server and audience profiling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "fp/batch.hpp"
@@ -91,6 +96,140 @@ TEST(ContentStreamTest, FrameMemoMatchesFreshStreamInAnyQueryOrder) {
                     << "t=" << t.as_millis() << "ms";
             }
         }
+    }
+}
+
+constexpr ContentKind kAllKinds[] = {
+    ContentKind::kLiveBroadcast, ContentKind::kFastChannel, ContentKind::kOttStream,
+    ContentKind::kHdmiDesktop,   ContentKind::kHdmiConsole, ContentKind::kScreenCast,
+    ContentKind::kHomeScreen,    ContentKind::kAdvertisement,
+};
+
+struct StreamGeometry {
+    int width, height;
+};
+// 5x3 is narrower and shorter than dhash's 9x8 grid, so its cells overlap.
+constexpr StreamGeometry kGeometries[] = {{36, 16}, {37, 17}, {5, 3}, {100, 40}};
+
+void expect_fingerprint_matches_frame(const ContentStream& stream, SimTime t) {
+    const Frame frame = stream.frame_at(t);
+    const CaptureFingerprint got = stream.fingerprint_at(t);
+    ASSERT_EQ(got.video, dhash(frame)) << "t=" << t.as_millis() << "ms";
+    ASSERT_EQ(got.detail, frame_detail(frame)) << "t=" << t.as_millis() << "ms";
+    ASSERT_EQ(stream.video_hash_at(t), dhash(frame)) << "t=" << t.as_millis() << "ms";
+}
+
+TEST(ContentStreamTest, FingerprintMatchesHashOfFrameForEveryKindAndGeometry) {
+    // Every 10 ms capture of the first 20 s, then a sparse sweep to 10 min,
+    // answered by one stream that interleaves frame_at and the fingerprints.
+    // The eight kinds, then a dynamics whose scenes are all static.
+    std::vector<std::pair<std::string, ContentDynamics>> cases;
+    for (const ContentKind kind : kAllKinds) {
+        cases.emplace_back(to_string(kind), ContentDynamics::for_kind(kind));
+    }
+    ContentDynamics still = ContentDynamics::for_kind(ContentKind::kHdmiDesktop);
+    still.static_scene_fraction = 1.0;
+    cases.emplace_back("all-static", still);
+    std::vector<SimTime> times;
+    for (std::int64_t ms = 0; ms < 20'000; ms += 10) times.push_back(SimTime::millis(ms));
+    for (std::int64_t ms = 20'000; ms < 600'000; ms += 1'730) times.push_back(SimTime::millis(ms));
+    for (const auto& [name, dynamics] : cases) {
+        for (const StreamGeometry g : kGeometries) {
+            SCOPED_TRACE(::testing::Message() << name << " " << g.width << "x" << g.height);
+            const ContentStream stream(31, dynamics, g.width, g.height);
+            for (const SimTime t : times) expect_fingerprint_matches_frame(stream, t);
+        }
+    }
+}
+
+TEST(ContentStreamTest, FingerprintMemoMatchesFrameOracleInAnyQueryOrder) {
+    // A fresh stream answers the queries forward, backward and shuffled; the
+    // expected values come from frame_at on a separate stream, so a memo
+    // left stale across scenes shows up as a mismatch.
+    for (const ContentKind kind :
+         {ContentKind::kLiveBroadcast, ContentKind::kHdmiDesktop, ContentKind::kScreenCast}) {
+        for (const StreamGeometry g : kGeometries) {
+            SCOPED_TRACE(::testing::Message() << to_string(kind) << " " << g.width << "x"
+                                              << g.height);
+            const auto dynamics = ContentDynamics::for_kind(kind);
+            std::vector<SimTime> forward;
+            for (std::int64_t ms = 0; ms < 120'000; ms += 370) {
+                forward.push_back(SimTime::millis(ms));
+                forward.push_back(SimTime::millis(ms + 10));  // same scene, next frame
+            }
+            const ContentStream oracle(41, dynamics, g.width, g.height);
+            std::map<std::int64_t, CaptureFingerprint> expected;
+            for (const SimTime t : forward) {
+                const Frame frame = oracle.frame_at(t);
+                expected[t.as_micros()] = {dhash(frame), frame_detail(frame)};
+            }
+            std::vector<SimTime> backward(forward.rbegin(), forward.rend());
+            std::vector<SimTime> shuffled = forward;
+            Rng rng(0xF1A7);
+            for (std::size_t i = shuffled.size(); i > 1; --i) {
+                const auto j = rng.uniform(0, static_cast<std::int64_t>(i) - 1);
+                std::swap(shuffled[i - 1], shuffled[static_cast<std::size_t>(j)]);
+            }
+            for (const auto* order : {&forward, &backward, &shuffled}) {
+                const ContentStream fresh(41, dynamics, g.width, g.height);
+                for (const SimTime t : *order) {
+                    const CaptureFingerprint got = fresh.fingerprint_at(t);
+                    const CaptureFingerprint& want = expected.at(t.as_micros());
+                    ASSERT_EQ(got.video, want.video) << "t=" << t.as_millis() << "ms";
+                    ASSERT_EQ(got.detail, want.detail) << "t=" << t.as_millis() << "ms";
+                    ASSERT_EQ(fresh.video_hash_at(t), want.video) << "t=" << t.as_millis() << "ms";
+                }
+            }
+        }
+    }
+}
+
+TEST(ContentStreamTest, FingerprintMatchesWhenBothMotionEditsHitOnePixel) {
+    // Search for frames whose two motion perturbations land on the same
+    // pixel: the frame then differs from its scene's base frame (the
+    // per-pixel majority over the scene's frames) in exactly one pixel, by
+    // 2 x 25. Each such frame is checked on a fresh stream and on one whose
+    // memo already holds the scene.
+    for (const StreamGeometry g : {StreamGeometry{5, 3}, StreamGeometry{36, 16}}) {
+        SCOPED_TRACE(::testing::Message() << g.width << "x" << g.height);
+        const auto dynamics = ContentDynamics::for_kind(ContentKind::kLiveBroadcast);
+        const ContentStream stream(43, dynamics, g.width, g.height);
+        const auto pixels = static_cast<std::size_t>(g.width) * static_cast<std::size_t>(g.height);
+        int found = 0;
+        std::int64_t ms = 0;
+        while (found < 3 && ms < 3'600'000) {
+            const std::size_t scene = stream.scene_index_at(SimTime::millis(ms));
+            std::vector<std::pair<SimTime, Frame>> frames;
+            for (; stream.scene_index_at(SimTime::millis(ms)) == scene; ms += 10) {
+                frames.emplace_back(SimTime::millis(ms), stream.frame_at(SimTime::millis(ms)));
+            }
+            if (frames.size() < 20) continue;  // too few frames for a reliable majority
+            std::vector<std::uint8_t> base(pixels);
+            for (std::size_t p = 0; p < pixels; ++p) {
+                std::map<std::uint8_t, int> votes;
+                for (const auto& [t, frame] : frames) ++votes[frame.luma[p]];
+                base[p] = std::max_element(votes.begin(), votes.end(), [](const auto& a,
+                                                                          const auto& b) {
+                              return a.second < b.second;
+                          })->first;
+            }
+            for (const auto& [t, frame] : frames) {
+                std::vector<std::size_t> changed;
+                for (std::size_t p = 0; p < pixels; ++p) {
+                    if (frame.luma[p] != base[p]) changed.push_back(p);
+                }
+                if (changed.size() != 1) continue;
+                const std::size_t p = changed[0];
+                if (frame.luma[p] != static_cast<std::uint8_t>(base[p] + 50)) continue;
+                ++found;
+                expect_fingerprint_matches_frame(stream, t);
+                const ContentStream fresh(43, dynamics, g.width, g.height);
+                const CaptureFingerprint got = fresh.fingerprint_at(t);
+                EXPECT_EQ(got.video, dhash(frame));
+                EXPECT_EQ(got.detail, frame_detail(frame));
+            }
+        }
+        EXPECT_GE(found, 3);
     }
 }
 

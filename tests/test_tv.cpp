@@ -413,7 +413,9 @@ TEST_F(TvFixture, ScreenFollowsScenario) {
     tv->set_scenario(Scenario::kHdmi);
     const auto hdmi = tv->screen_at(SimTime::minutes(2));
     ASSERT_TRUE(hdmi.has_value());
-    EXPECT_NE(fp::dhash(linear->frame), fp::dhash(hdmi->frame));
+    EXPECT_NE(linear->stream, hdmi->stream);
+    EXPECT_NE(fp::dhash(linear->stream->frame_at(linear->offset)),
+              fp::dhash(hdmi->stream->frame_at(hdmi->offset)));
 
     tv->power_off();
     EXPECT_FALSE(tv->screen_at(SimTime::minutes(2)).has_value());
@@ -474,14 +476,17 @@ TEST_F(TvFixture, ChannelZappingChangesScreenContent) {
     const auto after = tv->screen_at(SimTime::minutes(2));
     ASSERT_TRUE(before.has_value());
     ASSERT_TRUE(after.has_value());
-    EXPECT_NE(fp::dhash(before->frame), fp::dhash(after->frame));
+    EXPECT_NE(fp::dhash(before->stream->frame_at(before->offset)),
+              fp::dhash(after->stream->frame_at(after->offset)));
 
     // The lineup wraps.
     tv->next_channel();
     tv->next_channel();
     EXPECT_EQ(tv->current_channel(), 0);
     const auto wrapped = tv->screen_at(SimTime::minutes(2));
-    EXPECT_EQ(fp::dhash(before->frame), fp::dhash(wrapped->frame));
+    ASSERT_TRUE(wrapped.has_value());
+    EXPECT_EQ(wrapped->stream, before->stream);
+    EXPECT_EQ(wrapped->offset, before->offset);
 }
 
 TEST_F(TvFixture, AcrKeepsMatchingAcrossZaps) {
