@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: frame synthesis,
-// perceptual hashing, batch codecs, the match server, DNS and pcap codecs,
-// and raw simulator event throughput.
+// perceptual hashing, batch codecs, the content library build, the match
+// server, DNS and pcap codecs, and raw simulator event throughput.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
@@ -19,7 +19,8 @@ using namespace tvacr;
 namespace {
 
 void BM_FrameSynthesis(benchmark::State& state) {
-    const fp::ContentStream stream(1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
+    const fp::ContentStream stream(
+        1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
     std::int64_t t = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(stream.frame_at(SimTime::millis(t)));
@@ -29,7 +30,8 @@ void BM_FrameSynthesis(benchmark::State& state) {
 BENCHMARK(BM_FrameSynthesis);
 
 void BM_Dhash(benchmark::State& state) {
-    const fp::ContentStream stream(1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
+    const fp::ContentStream stream(
+        1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
     const fp::Frame frame = stream.frame_at(SimTime::seconds(1));
     for (auto _ : state) benchmark::DoNotOptimize(fp::dhash(frame));
 }
@@ -37,7 +39,8 @@ BENCHMARK(BM_Dhash);
 
 void BM_CaptureStep(benchmark::State& state) {
     // Capture cost from a built frame: synthesize + dhash + detail.
-    const fp::ContentStream stream(1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
+    const fp::ContentStream stream(
+        1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
     std::int64_t t = 0;
     for (auto _ : state) {
         const fp::Frame frame = stream.frame_at(SimTime::millis(t));
@@ -88,9 +91,21 @@ void BM_BatchDeserialize(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchDeserialize);
 
+void BM_LibraryBuild(benchmark::State& state) {
+    // The reference side of every testbed: the builtin catalog's hash tracks.
+    const auto catalog = fp::builtin_catalog(5);
+    for (auto _ : state) {
+        fp::ContentLibrary library;
+        for (const auto& info : catalog) library.add(info);
+        benchmark::DoNotOptimize(library.size());
+    }
+}
+BENCHMARK(BM_LibraryBuild)->Unit(benchmark::kMillisecond);
+
 void BM_MatchServer(benchmark::State& state) {
     static const fp::ContentLibrary* library = [] {
-        // tvacr-lint: allow(no-raw-new-delete) intentionally leaked static; destructor order with gbench
+        // tvacr-lint: allow(no-raw-new-delete) intentionally leaked static;
+        // destructor order with gbench
         auto* lib = new fp::ContentLibrary();
         for (const auto& info : fp::builtin_catalog(5)) lib->add(info);
         return lib;

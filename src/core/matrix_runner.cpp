@@ -7,6 +7,10 @@
 #include <future>
 #include <thread>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "common/parse.hpp"
 #include "common/thread_pool.hpp"
 
@@ -147,7 +151,15 @@ std::vector<ExperimentResult> MatrixRunner::run_experiments(
 std::vector<ScenarioTrace> MatrixRunner::run_traces(
     const std::vector<ExperimentSpec>& specs) const {
     return run_in_order(specs, jobs_, profile_, [](const ExperimentSpec& spec) {
-        return trace_of(ExperimentRunner::run(spec));
+        ScenarioTrace trace = trace_of(ExperimentRunner::run(spec));
+#ifdef __GLIBC__
+        // The cell's capture (tens of MB of separately allocated frames) was
+        // just freed into this worker's glibc arena, which keeps it; later
+        // cells on other workers cannot reuse it, so peak RSS would grow with
+        // how cells land on arenas. Hand the free pages back to the OS.
+        malloc_trim(0);
+#endif
+        return trace;
     });
 }
 

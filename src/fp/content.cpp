@@ -132,18 +132,23 @@ std::uint64_t row_bits(const std::uint8_t* row) {
 void ContentStream::ensure_scene(std::size_t scene, std::uint64_t scene_seed) const {
     if (!frame_base_.luma.empty() && frame_scene_ == scene) return;
     frame_base_ = make_frame(width_, height_);
-    for (int y = 0; y < height_; ++y) {
-        for (int x = 0; x < width_; ++x) {
-            // Coarse blocks give the frame spatial structure a perceptual
-            // hash keys on; the fine term adds texture.
+    // Coarse 4x4 blocks give the frame spatial structure a perceptual hash
+    // keys on; the per-pixel fine term adds texture. The block term is drawn
+    // once per block, not once per pixel.
+    for (int y0 = 0; y0 < height_; y0 += 4) {
+        for (int x0 = 0; x0 < width_; x0 += 4) {
             const std::uint64_t block =
-                splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x / 4) << 16) ^
-                           static_cast<std::uint64_t>(y / 4));
-            const std::uint64_t fine =
-                splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x) << 20) ^
-                           (static_cast<std::uint64_t>(y) << 8) ^ 1);
-            frame_base_.at(x, y) =
-                static_cast<std::uint8_t>(((block & 0xFF) * 3 + (fine & 0xFF)) / 4);
+                splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x0 / 4) << 16) ^
+                           static_cast<std::uint64_t>(y0 / 4));
+            const std::uint64_t coarse = (block & 0xFF) * 3;
+            for (int y = y0; y < std::min(y0 + 4, height_); ++y) {
+                for (int x = x0; x < std::min(x0 + 4, width_); ++x) {
+                    const std::uint64_t fine =
+                        splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x) << 20) ^
+                                   (static_cast<std::uint64_t>(y) << 8) ^ 1);
+                    frame_base_.at(x, y) = static_cast<std::uint8_t>((coarse + (fine & 0xFF)) / 4);
+                }
+            }
         }
     }
     base_hash_ = 0;

@@ -61,7 +61,8 @@ TEST(ContentStreamTest, AudioIsDeterministicPerScene) {
     const ContentStream stream(9, ContentDynamics::for_kind(ContentKind::kLiveBroadcast));
     const auto a = stream.audio_at(SimTime::millis(100));
     const auto b = stream.audio_at(SimTime::millis(110));
-    if (stream.scene_index_at(SimTime::millis(100)) == stream.scene_index_at(SimTime::millis(110))) {
+    if (stream.scene_index_at(SimTime::millis(100)) ==
+        stream.scene_index_at(SimTime::millis(110))) {
         for (int band = 0; band < AudioWindow::kBands; ++band) {
             EXPECT_FLOAT_EQ(a.band_energy[band], b.band_energy[band]);
         }
@@ -230,6 +231,43 @@ TEST(ContentStreamTest, FingerprintMatchesWhenBothMotionEditsHitOnePixel) {
             }
         }
         EXPECT_GE(found, 3);
+    }
+}
+
+/// Oracle for the scene base frame: the coarse block term drawn once per
+/// pixel rather than once per 4x4 block.
+Frame per_pixel_scene_base(std::uint64_t seed, std::size_t scene, int width, int height) {
+    const std::uint64_t scene_seed = splitmix64(seed ^ (scene * 0xD1B54A32D192ED03ULL));
+    Frame frame = make_frame(width, height);
+    for (int y = 0; y < height; ++y) {
+        for (int x = 0; x < width; ++x) {
+            const std::uint64_t block =
+                splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x / 4) << 16) ^
+                           static_cast<std::uint64_t>(y / 4));
+            const std::uint64_t fine =
+                splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x) << 20) ^
+                           (static_cast<std::uint64_t>(y) << 8) ^ 1);
+            frame.at(x, y) = static_cast<std::uint8_t>(((block & 0xFF) * 3 + (fine & 0xFF)) / 4);
+        }
+    }
+    return frame;
+}
+
+TEST(ContentStreamTest, SceneBaseFrameMatchesPerPixelBlockTerm) {
+    // With every scene static, frame_at returns the scene's base frame
+    // untouched, so it must equal the per-pixel oracle bit for bit. 37x17
+    // and 5x3 end in partial 4x4 blocks.
+    ContentDynamics still = ContentDynamics::for_kind(ContentKind::kLiveBroadcast);
+    still.static_scene_fraction = 1.0;
+    for (const StreamGeometry g : kGeometries) {
+        SCOPED_TRACE(::testing::Message() << g.width << "x" << g.height);
+        const ContentStream stream(47, still, g.width, g.height);
+        for (std::size_t scene = 0; scene < 200; ++scene) {
+            const Frame got = stream.frame_at(stream.scene_start(scene));
+            ASSERT_EQ(stream.scene_index_at(stream.scene_start(scene)), scene);
+            ASSERT_EQ(got.luma, per_pixel_scene_base(47, scene, g.width, g.height).luma)
+                << "scene " << scene;
+        }
     }
 }
 
@@ -607,13 +645,141 @@ TEST_F(MatcherFixture, AudioAgreementAbsentForVideoOnlyBatch) {
     EXPECT_DOUBLE_EQ(match->audio_agreement, -1.0);
 }
 
-TEST_F(MatcherFixture, LibraryStoresAudioTrack) {
-    const auto audio = library.reference_audio(catalog[0].id);
-    EXPECT_EQ(audio.size(), library.reference_hashes(catalog[0].id).size());
-    EXPECT_TRUE(library.reference_audio(424242).empty());
-    // Audio hashes vary across the track (scene changes change the chord).
-    std::set<std::uint32_t> distinct(audio.begin(), audio.end());
-    EXPECT_GT(distinct.size(), 10U);
+/// The reference audio track as the library once stored it: audio_hash of
+/// every kReferencePeriod step, computed eagerly on a fresh stream.
+std::vector<std::uint32_t> eager_audio_track(const ContentInfo& info) {
+    const ContentStream stream(info.seed, info.dynamics);
+    std::vector<std::uint32_t> track;
+    const std::int64_t steps = info.duration / ContentLibrary::kReferencePeriod;
+    for (std::int64_t step = 0; step < steps; ++step) {
+        track.push_back(audio_hash(stream.audio_at(ContentLibrary::kReferencePeriod * step)));
+    }
+    return track;
+}
+
+TEST(ContentLibraryTest, ReferenceAudioOnDemandMatchesEagerTrackInAnyOrder) {
+    for (const std::uint64_t seed : {555ULL, 7ULL, 0xACULL}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        const auto catalog = builtin_catalog(seed);
+        std::map<std::uint64_t, std::vector<std::uint32_t>> expected;
+        std::vector<std::pair<std::uint64_t, std::int64_t>> probes;
+        for (const auto& info : catalog) {
+            expected[info.id] = eager_audio_track(info);
+            for (std::size_t step = 0; step < expected[info.id].size(); ++step) {
+                probes.emplace_back(info.id, static_cast<std::int64_t>(step));
+            }
+        }
+        std::vector<std::pair<std::uint64_t, std::int64_t>> shuffled = probes;
+        Rng rng(seed ^ 0x5A);
+        for (std::size_t i = shuffled.size(); i > 1; --i) {
+            const auto j = rng.uniform(0, static_cast<std::int64_t>(i) - 1);
+            std::swap(shuffled[i - 1], shuffled[static_cast<std::size_t>(j)]);
+        }
+        for (const auto* order : {&probes, &shuffled}) {
+            ContentLibrary library;
+            for (const auto& info : catalog) library.add(info);
+            for (const auto& [id, step] : *order) {
+                ASSERT_EQ(library.reference_audio_at(id, step),
+                          expected.at(id)[static_cast<std::size_t>(step)])
+                    << "content " << id << " step " << step;
+            }
+            for (const auto& info : catalog) {
+                const auto steps = static_cast<std::int64_t>(expected.at(info.id).size());
+                ASSERT_EQ(library.reference_hashes(info.id).size(), expected.at(info.id).size());
+                EXPECT_EQ(library.reference_audio_at(info.id, -1), 0U);
+                EXPECT_EQ(library.reference_audio_at(info.id, steps), 0U);
+                EXPECT_EQ(library.reference_audio_at(info.id, steps + 100), 0U);
+            }
+            EXPECT_EQ(library.reference_audio_at(424242, 0), 0U);
+        }
+        // Audio hashes vary across a track (scene changes change the chord).
+        const auto& track = expected.at(catalog[0].id);
+        EXPECT_GT(std::set<std::uint32_t>(track.begin(), track.end()).size(), 10U);
+    }
+}
+
+/// The matcher's audio corroboration, recomputed over the eager track.
+double eager_audio_agreement(const std::vector<std::uint32_t>& track, const MatchResult& match,
+                             const FingerprintBatch& batch) {
+    const std::int64_t reference_us = ContentLibrary::kReferencePeriod.as_micros();
+    const std::size_t stride =
+        std::max<std::size_t>(1, 250 / std::max<std::uint32_t>(batch.capture_period_ms, 1));
+    int checked = 0;
+    int agree = 0;
+    for (std::size_t i = 0; i < batch.records.size(); i += stride) {
+        const auto& record = batch.records[i];
+        if (record.audio == 0) continue;
+        const std::int64_t step = (match.content_offset.as_micros() +
+                                   static_cast<std::int64_t>(record.offset_ms) * 1000) /
+                                  reference_us;
+        ++checked;
+        for (std::int64_t probe = step - 1; probe <= step + 1; ++probe) {
+            if (probe < 0 || probe >= static_cast<std::int64_t>(track.size())) continue;
+            if (track[static_cast<std::size_t>(probe)] == record.audio) {
+                ++agree;
+                break;
+            }
+        }
+    }
+    return checked > 0 ? static_cast<double>(agree) / static_cast<double>(checked) : -1.0;
+}
+
+TEST_F(MatcherFixture, AudioAgreementMatchesEagerTrack) {
+    // Batches whose video comes from `info` from `start` and whose audio
+    // comes from `audio_info` (another content when dubbed). Every seventh
+    // record carries no audio.
+    const auto audio_batch = [](const ContentInfo& info, const ContentInfo& audio_info,
+                                SimTime start, SimTime duration, SimTime period) {
+        const ContentStream video(info.seed, info.dynamics);
+        const ContentStream audio(audio_info.seed, audio_info.dynamics);
+        FingerprintBatch batch;
+        batch.device_id = 7;
+        batch.capture_period_ms = static_cast<std::uint16_t>(period.as_millis());
+        batch.has_audio = true;
+        const std::int64_t steps = duration / period;
+        for (std::int64_t step = 0; step < steps; ++step) {
+            const SimTime t = start + period * step;
+            CaptureRecord record;
+            record.offset_ms = static_cast<std::uint32_t>((period * step).as_millis());
+            record.video = video.video_hash_at(t);
+            record.audio = step % 7 == 3 ? 0 : audio_hash(audio.audio_at(t));
+            batch.records.push_back(record);
+        }
+        return batch;
+    };
+    struct Case {
+        const char* name;
+        std::size_t content;
+        std::size_t audio_content;
+        SimTime start;
+        SimTime period;
+    };
+    // catalog[6] is a one-minute ad: a batch from 0:50 runs past its track.
+    const Case cases[] = {
+        {"aligned", 1, 1, SimTime::minutes(4), SimTime::millis(500)},
+        {"misaligned-dense", 0, 0, SimTime::minutes(5) + SimTime::millis(137), SimTime::millis(10)},
+        {"misaligned-sparse", 3, 3, SimTime::minutes(7) + SimTime::millis(260),
+         SimTime::millis(500)},
+        {"past-the-end", 6, 6, SimTime::seconds(50), SimTime::millis(100)},
+        {"track-start", 2, 2, SimTime{}, SimTime::millis(500)},
+        {"dubbed", 4, 5, SimTime::minutes(2), SimTime::millis(500)},
+    };
+    const MatchServer server(library);
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const auto batch = audio_batch(catalog[c.content], catalog[c.audio_content], c.start,
+                                       SimTime::seconds(15), c.period);
+        const auto banded = server.match(batch);
+        const auto reference = server.match_reference(batch);
+        ASSERT_TRUE(banded.has_value());
+        ASSERT_TRUE(reference.has_value());
+        ASSERT_EQ(banded->content_id, catalog[c.content].id);
+        ASSERT_EQ(reference->content_id, banded->content_id);
+        const auto track = eager_audio_track(catalog[c.content]);
+        EXPECT_EQ(banded->audio_agreement, eager_audio_agreement(track, *banded, batch));
+        EXPECT_EQ(reference->audio_agreement, eager_audio_agreement(track, *reference, batch));
+        EXPECT_GE(banded->audio_agreement, 0.0);
+    }
 }
 
 TEST_F(MatcherFixture, ReindexPicksUpNewContent) {
